@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use m3d_dft::{ObsMode, ScanChains};
-use m3d_netlist::{GateId, NetId, SiteId};
+use m3d_netlist::{FlopId, GateId, NetId, SiteId};
 use m3d_tdf::{FailEntry, FailureLog, Fault, FaultSim, Polarity};
 
 use crate::report::{Candidate, DiagnosisReport, MatchScore};
@@ -225,6 +225,17 @@ impl<'a> Diagnoser<'a> {
         self.mode
     }
 
+    /// The fault sites of `flop`'s structural fan-in cone, ascending: the
+    /// flop's D pin, every pin and output reached backwards through
+    /// combinational gates, and the MIV site of every net on the way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flop` is not a flop of the design.
+    pub fn cone_sites(&self, flop: FlopId) -> &[SiteId] {
+        &self.cone_sites[flop.index()]
+    }
+
     fn is_pruned(&self, site: SiteId) -> bool {
         self.untestable.as_ref().is_some_and(|u| u[site.index()])
     }
@@ -247,20 +258,19 @@ impl<'a> Diagnoser<'a> {
                 .all(|f| f.index() < self.cone_sites.len())
     }
 
-    /// Suspect sites for one failing log entry: cone sites of every scan
-    /// cell the observation could map to, filtered to sites transitioning
-    /// under the failing pattern. Entries must already be range-checked.
-    fn entry_suspects(&self, entry: &FailEntry) -> HashSet<SiteId> {
-        let (blk, bit) = self.fsim.patterns().locate(entry.pattern);
-        let mut set = HashSet::new();
-        for flop in self.scan.candidate_flops(entry.obs) {
-            for &site in &self.cone_sites[flop.index()] {
-                if self.fsim.transition_mask(site, blk) & (1u64 << bit) != 0 {
-                    set.insert(site);
-                }
-            }
-        }
-        set
+    /// Per-site failing-cone support of a log: how many entries have the
+    /// site, transitioning under the entry's pattern, in the cone of some
+    /// scan cell the entry's observation could map to. Sorted most
+    /// supported first, ties by site. Entries must already be
+    /// range-checked.
+    fn support(&self, log: &FailureLog) -> Vec<(SiteId, u32)> {
+        let mut freq = m3d_tdf::with_cone_support(|s| {
+            s.count(self.fsim, self.scan, log, |f| {
+                self.cone_sites[f.index()].iter().copied()
+            })
+        });
+        freq.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        freq
     }
 
     /// Predicted failure entries for a fault set, using the caller's
@@ -409,21 +419,21 @@ impl<'a> Diagnoser<'a> {
         // Phase 1: frequency-based suspect extraction. A strict
         // intersection would under-approximate what commercial tools
         // report; sites appearing in most per-entry cones are suspects.
-        let mut freq: HashMap<SiteId, u32> = HashMap::new();
-        for entry in log.entries() {
-            for s in self.entry_suspects(entry) {
-                *freq.entry(s).or_insert(0) += 1;
-            }
-        }
+        // The support list, cut to the suspect cap, is also the candidate
+        // pool of the phase-2 cover.
+        let mut span = m3d_obs::span("diagnosis.suspects");
+        let mut freq = self.support(log);
+        span.add("supported", freq.len() as u64);
+        freq.truncate(self.config.max_cover_suspects);
         let n_entries = log.entries().len() as u32;
         let needed = ((f64::from(n_entries) * self.config.suspect_entry_frac).ceil() as u32).max(1);
+        // `freq` is sorted by descending support, so the sites supported
+        // by enough entries are a prefix of it.
         let mut suspects: Vec<(SiteId, u32)> = freq
             .iter()
-            .filter(|&(_, &c)| c >= needed)
-            .map(|(&s, &c)| (s, c))
+            .copied()
+            .take_while(|&(_, c)| c >= needed)
             .collect();
-        suspects.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        suspects.truncate(self.config.max_cover_suspects);
         // Proven-untestable suspects would simulate to an empty signature
         // and score zero; drop them here (after the truncation, so the
         // slot allocation — and with it the report — is unchanged).
@@ -435,6 +445,8 @@ impl<'a> Diagnoser<'a> {
                 (before - suspects.len()) as u64,
             );
         }
+        span.add("suspects", suspects.len() as u64);
+        drop(span);
 
         // Score every suspect in parallel: each candidate re-simulates two
         // polarities over the full pattern set, which is the dominant cost
@@ -443,6 +455,7 @@ impl<'a> Diagnoser<'a> {
         // so the report is bitwise identical at any thread count — which
         // is also why the cost gate (suspects × design size) can keep
         // small-design diagnoses serial without changing any report.
+        let span = m3d_obs::span("diagnosis.score");
         let score_work = self.scoring_work(suspects.len());
         let scored: Vec<(Candidate, HashSet<FailEntry>)> =
             m3d_par::with_threads(m3d_par::par_gate(score_work), || {
@@ -462,6 +475,7 @@ impl<'a> Diagnoser<'a> {
         if cancel.load(Ordering::Relaxed) {
             return Err(Cancelled);
         }
+        drop(span);
 
         let single_explains = scored.iter().any(|(c, _)| c.score.is_perfect());
 
@@ -470,10 +484,14 @@ impl<'a> Diagnoser<'a> {
             // selected candidate explains a *disjoint share* of the log,
             // so the single-fault retention floor does not apply — the
             // cover itself is the retention decision.
-            let selected = self.cover_diagnosis(log, &tester, scored, cancel)?;
+            let span = m3d_obs::span("diagnosis.cover");
+            let selected = self.cover_diagnosis(&freq, &tester, scored, cancel)?;
+            drop(span);
+            let _span = m3d_obs::span("diagnosis.rank");
             return Ok(self.rank_cover(selected));
         }
 
+        let _span = m3d_obs::span("diagnosis.rank");
         Ok(self.rank_and_retain(scored))
     }
 
@@ -486,24 +504,20 @@ impl<'a> Diagnoser<'a> {
 
     /// Greedy cover: repeatedly pick the suspect explaining the most
     /// residual failures, until the log is explained or progress stops.
+    /// `freq` is phase 1's support list, most supported first, cut to the
+    /// suspect cap.
     fn cover_diagnosis(
         &self,
-        log: &FailureLog,
+        freq: &[(SiteId, u32)],
         tester: &HashSet<FailEntry>,
         seed: Vec<(Candidate, HashSet<FailEntry>)>,
         cancel: &AtomicBool,
     ) -> Result<Vec<(Candidate, HashSet<FailEntry>)>, Cancelled> {
-        // Frequency-ranked union of per-entry suspects.
-        let mut freq: HashMap<SiteId, u32> = HashMap::new();
-        for entry in log.entries() {
-            for s in self.entry_suspects(entry) {
-                *freq.entry(s).or_insert(0) += 1;
-            }
-        }
-        let mut by_freq: Vec<(SiteId, u32)> = freq.into_iter().collect();
-        by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        by_freq.truncate(self.config.max_cover_suspects);
-        by_freq.retain(|&(s, _)| !self.is_pruned(s));
+        let by_freq: Vec<(SiteId, u32)> = freq
+            .iter()
+            .copied()
+            .filter(|&(s, _)| !self.is_pruned(s))
+            .collect();
 
         let mut pool: HashMap<SiteId, (Candidate, HashSet<FailEntry>)> = seed
             .into_iter()
@@ -767,13 +781,11 @@ mod tests {
             .chain([
                 FailEntry {
                     pattern: u32::MAX,
-                    obs: m3d_dft::ObsPoint::Flop(m3d_netlist::FlopId::new(u32::MAX as usize)),
+                    obs: m3d_dft::ObsPoint::Flop(FlopId::new(u32::MAX as usize)),
                 },
                 FailEntry {
                     pattern: 0,
-                    obs: m3d_dft::ObsPoint::Flop(m3d_netlist::FlopId::new(
-                        e.design.netlist().flops().len() + 7,
-                    )),
+                    obs: m3d_dft::ObsPoint::Flop(FlopId::new(e.design.netlist().flops().len() + 7)),
                 },
             ])
             .collect();
@@ -788,7 +800,7 @@ mod tests {
         // A log of *only* junk entries degrades to an empty report.
         let junk: FailureLog = std::iter::once(FailEntry {
             pattern: u32::MAX,
-            obs: m3d_dft::ObsPoint::Flop(m3d_netlist::FlopId::new(u32::MAX as usize)),
+            obs: m3d_dft::ObsPoint::Flop(FlopId::new(u32::MAX as usize)),
         })
         .collect();
         let report = diag.diagnose(&junk);

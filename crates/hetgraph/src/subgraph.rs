@@ -125,42 +125,38 @@ pub fn back_trace(
     if log.is_empty() {
         return None;
     }
-    let mut counts: HashMap<SiteId, u32> = HashMap::new();
-    let entries = log.entries();
-    for entry in entries {
-        let (blk, bit) = fsim.patterns().locate(entry.pattern);
-        let mask = 1u64 << bit;
-        // N := union over the response's Topnodes of transition-active
-        // cone members.
-        let mut n_set: HashMap<SiteId, ()> = HashMap::new();
-        for flop in scan.candidate_flops(entry.obs) {
-            for te in het.topedges(flop) {
-                if fsim.transition_mask(te.site, blk) & mask != 0 {
-                    n_set.insert(te.site, ());
-                }
-            }
-        }
-        for (site, ()) in n_set {
-            *counts.entry(site).or_insert(0) += 1;
-        }
-    }
-    let needed = entries.len() as u32;
+    let mut span = m3d_obs::span("back_trace");
+    // Per site: the number of responses whose N — the union over the
+    // response's Topnodes of transition-active cone members — holds it.
+    let (counts, obs_groups) = m3d_tdf::with_cone_support(|s| {
+        let counts = s.count(fsim, scan, log, |f| {
+            het.topedges(f).iter().map(|te| te.site)
+        });
+        (counts, s.obs_groups())
+    });
+    span.add("entries", log.len() as u64);
+    span.add("obs_groups", obs_groups as u64);
+    span.add("sites_touched", counts.len() as u64);
+    let needed = log.len() as u32;
     // Strict intersection first (Fig. 3, line 11). Multi-fault chips whose
     // responses come from different faults can intersect to nothing; fall
     // back to the best-supported sites so the GNN models still get a
     // sub-graph (the paper's framework keeps predicting tiers for
     // multi-fault chips — Section VII-A).
-    let c_max = counts.values().copied().max().unwrap_or(0);
+    let c_max = counts.iter().map(|&(_, c)| c).max().unwrap_or(0);
     if c_max == 0 {
         return None;
     }
     // `c_max == needed` is the strict intersection; otherwise keep the
     // best-supported sites.
     let threshold = c_max.min(needed);
+    // Collect by reference: consuming `counts` would let `collect` reuse
+    // its allocation, and the sub-graph would keep the capacity of every
+    // supported site for as long as it lives.
     let mut sites: Vec<SiteId> = counts
-        .into_iter()
-        .filter(|&(_, c)| c >= threshold)
-        .map(|(s, _)| s)
+        .iter()
+        .filter(|&&(_, c)| c >= threshold)
+        .map(|&(s, _)| s)
         .collect();
     sites.sort_unstable();
     if sites.is_empty() {

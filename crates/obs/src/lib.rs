@@ -52,7 +52,7 @@ pub use metrics::{Histogram, Registry, LATENCY_MS_BOUNDS, QUEUE_DEPTH_BOUNDS, TI
 pub use rolling::{SnapshotRing, Stamped};
 pub use slo::{SloInputs, SloSpec, SloStatus};
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -66,6 +66,9 @@ static REGISTRY: Mutex<Registry> = Mutex::new(Registry::new());
 thread_local! {
     /// Stack of open spans on this thread: `(id, name)`.
     static STACK: RefCell<Vec<(u64, &'static str)>> = const { RefCell::new(Vec::new()) };
+    /// Set while this thread runs `m3d-par` pool work (see
+    /// [`set_pool_worker`]).
+    static POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Shared process-wide time origin for span `t_us` offsets.
@@ -102,6 +105,16 @@ pub fn set_trace_enabled(on: bool) {
 /// Whether the trace sink is currently enabled (and recording overall).
 pub fn trace_enabled() -> bool {
     enabled() && TRACE_ENABLED.load(Ordering::Relaxed)
+}
+
+/// Marks the calling thread as a thread-pool worker (`m3d-par` sets this
+/// around its worker loops). Spans opened on a pool worker are inert:
+/// their order in the trace would depend on which worker ran them, so
+/// only orchestrating threads record spans. Work a pool runs inline (a
+/// width-1 or gated-serial call) stays on the orchestrating thread and
+/// is traced as usual.
+pub fn set_pool_worker(on: bool) {
+    POOL_WORKER.with(|w| w.set(on));
 }
 
 /// Clears the trace buffer, the metrics registry, and the id counter.
@@ -167,9 +180,10 @@ impl Drop for SpanGuard {
 }
 
 /// Opens a span named `name`, nested under the innermost open span on
-/// this thread. Returns an inert guard when recording is disabled.
+/// this thread. Returns an inert guard when recording is disabled or the
+/// thread is a pool worker ([`set_pool_worker`]).
 pub fn span(name: &'static str) -> SpanGuard {
-    if !trace_enabled() {
+    if !trace_enabled() || POOL_WORKER.with(Cell::get) {
         return SpanGuard {
             active: false,
             id: 0,

@@ -390,9 +390,11 @@ fn chunk_results<T: Sync, S, R: Send>(
                 impl Drop for WorkerGuard {
                     fn drop(&mut self) {
                         IN_WORKER.with(|c| c.set(false));
+                        m3d_obs::set_pool_worker(false);
                     }
                 }
                 IN_WORKER.with(|c| c.set(true));
+                m3d_obs::set_pool_worker(true);
                 let _guard = WorkerGuard;
                 let mut scratch = init();
                 loop {

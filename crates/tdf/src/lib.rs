@@ -1,7 +1,8 @@
 //! Transition-delay-fault testing substrate: two-frame logic simulation,
 //! the TDF fault model (including MIV faults), event-driven fault
-//! simulation, random-fill ATPG with fault dropping, and tester failure
-//! logs.
+//! simulation, random-fill ATPG with fault dropping, tester failure
+//! logs, and the failing-cone support count that diagnosis and
+//! back-tracing share.
 //!
 //! Together with `m3d-dft` this crate replaces the commercial ATPG/tester
 //! toolchain of the paper's data-generation flow (Fig. 4): a design goes in,
@@ -41,6 +42,7 @@ mod log;
 mod log_io;
 mod pattern;
 mod sim;
+mod support;
 mod timing;
 
 pub use atpg::{
@@ -54,4 +56,5 @@ pub use log::{FailEntry, FailureLog};
 pub use log_io::{read_failure_log, write_failure_log, ParseLogError};
 pub use pattern::{PatternBlock, PatternId, PatternSet};
 pub use sim::{eval_single_frame, BlockSim, Simulator};
+pub use support::{with_cone_support, ConeSupport};
 pub use timing::{StaticTiming, TimingModel};

@@ -284,6 +284,10 @@ fn cli_train_emits_valid_trace_and_metrics_and_report_renders_them() {
         "checkpoint_write",
         "fault_simulation",
         "diagnosis",
+        "diagnosis.suspects",
+        "diagnosis.score",
+        "diagnosis.rank",
+        "back_trace",
     ] {
         assert!(
             span_names.contains(&stage),
